@@ -46,7 +46,6 @@ fn main() {
         Some("soak-report") => soak_report_cmd(&args[1..]),
         Some("diff") => diff_cmd(&args[1..]),
         Some("watch") => watch_cmd(&args[1..]),
-        Some("ablate") => ablate_cmd(&args[1..]),
         Some("--help") | Some("-h") | None => {
             eprintln!(
                 "usage: bench report [options]   render an HTML report of one measured run\n\
@@ -54,10 +53,7 @@ fn main() {
                  (default results/FAULT_soak.json)\n\
                  \x20      bench diff OLD NEW       compare two baseline JSON files\n\
                  \x20      bench watch [options]    live dashboard for a sweep (see watch --help)\n\
-                 \x20      bench ablate [options]   auto-tuned vs. static back-off constants \
-                 (see ablate --help)\n\
-                 run `bench report --help` / `bench watch --help` / `bench ablate --help` \
-                 for options"
+                 run `bench report --help` / `bench watch --help` for options"
             );
             std::process::exit(if args.is_empty() { 2 } else { 0 });
         }
@@ -205,76 +201,6 @@ fn report_cmd(args: &[String]) {
             );
         }
         None => print!("{html}"),
-    }
-}
-
-/// `bench ablate`: run the static-vs-auto controller ablation grid and
-/// write the deterministic JSON (and optionally the HTML report).
-fn ablate_cmd(args: &[String]) {
-    let mut grid_name = String::from("reduced");
-    let mut jobs: Option<usize> = None;
-    let mut json_out: Option<String> = None;
-    let mut html_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = || {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{a} needs a value")))
-                .clone()
-        };
-        match a.as_str() {
-            "--grid" => grid_name = val(),
-            "--jobs" | "-j" => {
-                jobs = Some(
-                    val()
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .unwrap_or_else(|| die("bad --jobs (want an integer >= 1)")),
-                );
-            }
-            "--json" => json_out = Some(val()),
-            "--out" => html_out = Some(val()),
-            "--help" | "-h" => {
-                eprintln!(
-                    "bench ablate: sweep AS-COMA with the back-off auto-tuner on vs. the\n\
-                     paper's static constants (ROADMAP item 4)\n\
-                     \n\
-                     options:\n\
-                     \x20 --grid reduced|full  cell grid (default reduced: the CI smoke grid)\n\
-                     \x20 --jobs N             worker threads (default ASCOMA_JOBS or host cores)\n\
-                     \x20 --json FILE          write the bench-diff-compatible JSON here\n\
-                     \x20                      (default stdout; deterministic except wall_secs)\n\
-                     \x20 --out FILE           also write the self-contained HTML report"
-                );
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown ablate option '{other}'")),
-        }
-    }
-    let g = ascoma_bench::ablate::grid(&grid_name)
-        .unwrap_or_else(|| die(&format!("unknown grid '{grid_name}' (want reduced|full)")));
-    let base = SimConfig::default();
-    let jobs = ascoma::parallel::effective_jobs(jobs);
-    let clock = pacing::Clock::start();
-    let cells = ascoma_bench::ablate::run_grid(&g, &base, jobs);
-    let wall = clock.elapsed_secs();
-    let json_text = ascoma_bench::ablate::to_json(&g, &cells, Some(wall));
-    match &json_out {
-        Some(path) => {
-            std::fs::write(path, &json_text).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-            eprintln!(
-                "{} cells ({} grid) in {wall:.1}s -> {path}",
-                cells.len(),
-                g.name
-            );
-        }
-        None => print!("{json_text}"),
-    }
-    if let Some(path) = &html_out {
-        let html = ascoma_bench::ablate::render_html(&g, &cells);
-        std::fs::write(path, &html).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
-        eprintln!("wrote {path} ({} bytes)", html.len());
     }
 }
 

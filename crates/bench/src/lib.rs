@@ -6,7 +6,6 @@
 
 #![warn(missing_docs)]
 
-pub mod ablate;
 pub mod diff;
 pub mod harness;
 pub mod pacing;

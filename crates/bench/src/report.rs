@@ -15,16 +15,16 @@ use std::fmt::Write as _;
 
 /// Fill colors for the six [`ExecBreakdown`] categories, in
 /// [`ExecBreakdown::LABELS`] order.
-pub(crate) const EXEC_COLORS: [&str; 6] = [
+const EXEC_COLORS: [&str; 6] = [
     "#d62728", "#9467bd", "#8c564b", "#1f77b4", "#2ca02c", "#ff7f0e",
 ];
 
 /// Colors cycled across per-node trajectory polylines.
-pub(crate) const LINE_COLORS: [&str; 8] = [
+const LINE_COLORS: [&str; 8] = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
 ];
 
-pub(crate) fn esc(s: &str) -> String {
+fn esc(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")
@@ -32,7 +32,7 @@ pub(crate) fn esc(s: &str) -> String {
 
 /// Per-node stacked horizontal bars, widths normalized to the busiest
 /// node (the paper's left-column stack, one bar per node).
-pub(crate) fn exec_bars_svg(per_node: &[ExecBreakdown]) -> String {
+fn exec_bars_svg(per_node: &[ExecBreakdown]) -> String {
     let denom = per_node.iter().map(ExecBreakdown::total).max().unwrap_or(1);
     let bar_h = 18;
     let gap = 6;
@@ -83,7 +83,7 @@ pub(crate) fn exec_bars_svg(per_node: &[ExecBreakdown]) -> String {
 }
 
 /// Per-node step polylines of `(cycle, value)` series on a shared scale.
-pub(crate) fn trajectories_svg(series: &[Vec<(u64, u64)>], x_max: u64) -> String {
+fn trajectories_svg(series: &[Vec<(u64, u64)>], x_max: u64) -> String {
     let w = 640.0;
     let h = 160.0;
     let y_max = series

@@ -15,7 +15,7 @@
 //! residue.  Plain mode (`TERM=dumb`, piped output, `--plain`) degrades
 //! to one line per lifecycle event via [`line_for`].
 
-use ascoma_obs::{MissLoc, Phase, Snapshot, StreamEvent};
+use ascoma_obs::{MissLoc, Snapshot, StreamEvent};
 
 /// How many recent sparkline samples the state retains.
 pub const SERIES_KEEP: usize = 64;
@@ -274,31 +274,6 @@ pub fn render(st: &WatchState, ansi: bool) -> String {
         ),
     );
 
-    // Auto-tuner row(s): phase glyph + live knobs per node, shown only
-    // when the run actually carries controller data (inc is 0 both for
-    // controller-off runs and for pre-controller NDJSON archives).
-    if let Some((_, snap)) = &st.last {
-        if snap.nodes.iter().any(|n| n.inc > 0) {
-            let parts: Vec<String> = snap
-                .nodes
-                .iter()
-                .map(|n| {
-                    format!(
-                        "n{} {} inc {} per {}",
-                        n.node,
-                        Phase::from_index(n.phase).glyph(),
-                        n.inc,
-                        n.period
-                    )
-                })
-                .collect();
-            for (i, chunk) in parts.chunks(4).enumerate() {
-                let prefix = if i == 0 { "tuner  " } else { "       " };
-                line(&mut out, &format!("{prefix}{}", chunk.join(" · ")));
-            }
-        }
-    }
-
     line(
         &mut out,
         "miss latency (cycles)     count      p50      p95      p99      max",
@@ -470,46 +445,6 @@ mod tests {
         assert_eq!(rows[0].chars().count(), MAP_WIDTH);
         assert_eq!(rows[1].chars().count(), 3);
         assert_eq!(cell_map(&[]), vec![String::new()]);
-    }
-
-    #[test]
-    fn tuner_row_appears_only_with_controller_data() {
-        use ascoma_obs::NodeSnap;
-        let node = |inc: u64| NodeSnap {
-            node: 0,
-            free: 10,
-            low: 2,
-            threshold: 1,
-            refetch: 3,
-            backlog: 0,
-            phase: 1,
-            inc,
-            period: 50_000,
-        };
-        let snap = |inc| Snapshot {
-            seq: 1,
-            cycle: 10,
-            events: 0,
-            cells_done: 0,
-            cells_total: 0,
-            nodes: vec![node(inc)],
-            miss: Default::default(),
-        };
-        let mut st = WatchState::new("t");
-        // inc == 0: controller off (or a pre-controller archive) — the
-        // tuner row must stay hidden.
-        st.apply(&StreamEvent::Snap {
-            cell: 0,
-            snap: snap(0),
-        });
-        assert!(!render(&st, false).contains("tuner"));
-        st.apply(&StreamEvent::Snap {
-            cell: 0,
-            snap: snap(64),
-        });
-        let frame = render(&st, false);
-        assert!(frame.contains("tuner  n0 H inc 64 per 50000"));
-        assert!(frame.contains("refetch/win"), "rate units are labelled");
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use ascoma_mem::timing::MemTimings;
 use ascoma_net::NetTimings;
-use ascoma_obs::ControllerParams;
 use ascoma_sim::addr::Geometry;
 use ascoma_sim::Cycles;
 use ascoma_vm::KernelCosts;
@@ -150,13 +149,6 @@ pub struct SimConfig {
     /// Check machine-wide coherence/accounting invariants at every
     /// barrier and at end of run (slow; for tests).
     pub check_invariants: bool,
-    /// Online auto-tuner for the back-off policy knobs.  Disabled by
-    /// default: with `controller.enabled == false` the simulation is
-    /// byte-identical to one run without the controller compiled in.
-    /// Unlike `obs_sample_period`, the controller is *not* gated on the
-    /// sink — it changes behavior, so it runs (deterministically) even
-    /// under the no-op sink; only its event emissions are sink-gated.
-    pub controller: ControllerParams,
 }
 
 impl Default for SimConfig {
@@ -176,7 +168,6 @@ impl Default for SimConfig {
             seed: 0xA5C0_3A00,
             obs_sample_period: 0,
             check_invariants: false,
-            controller: ControllerParams::default(),
         }
     }
 }
@@ -202,7 +193,6 @@ impl SimConfig {
             "RAC must fit at least one DSM block"
         );
         assert!(self.policy.initial_threshold >= 1);
-        self.controller.validate();
     }
 }
 

@@ -10,7 +10,7 @@
 use crate::config::{Arch, SimConfig};
 use crate::machine::{simulate, simulate_streamed};
 use crate::result::RunResult;
-use ascoma_obs::{ControllerParams, StreamEvent};
+use ascoma_obs::StreamEvent;
 use ascoma_sim::Cycles;
 use ascoma_workloads::trace::Trace;
 use ascoma_workloads::{App, SizeClass};
@@ -179,80 +179,6 @@ pub fn run_cell(
 pub fn run_cell_on(trace: &Trace, arch: Arch, pressure: f64, base: &SimConfig) -> RunResult {
     let cfg = SimConfig { pressure, ..*base };
     simulate(trace, arch, &cfg)
-}
-
-/// One `(app, pressure)` cell of the auto-tuner ablation (ROADMAP item
-/// 4): the same AS-COMA run with the controller off (the paper's static
-/// constants) and on (the online auto-tuner), everything else equal.
-#[derive(Debug, Clone)]
-pub struct AblationCell {
-    /// Application name.
-    pub app: String,
-    /// Memory pressure of both runs.
-    pub pressure: f64,
-    /// The static-constants run (`SimConfig::controller` disabled).
-    pub static_run: RunResult,
-    /// The auto-tuned run (its `controller` summary is `Some`).
-    pub auto_run: RunResult,
-}
-
-impl AblationCell {
-    /// True when auto-tuning did not slow this cell down (ties count:
-    /// a controller that never fires is exactly the static run).
-    pub fn auto_le_static(&self) -> bool {
-        self.auto_run.cycles <= self.static_run.cycles
-    }
-}
-
-/// Run the static-vs-auto ablation grid: for every `(trace, pressure)`
-/// pair, one AS-COMA run with `controller` disabled and one with the
-/// given (enabled) controller constants.  All `2 × traces × pressures`
-/// runs go into one flat work list across up to `jobs` workers; results
-/// come back in trace-major, pressure-minor order, so the output is
-/// byte-identical at every job count.
-pub fn run_ablation(
-    traces: &[Trace],
-    pressures: &[f64],
-    base: &SimConfig,
-    controller: ControllerParams,
-    jobs: usize,
-) -> Vec<AblationCell> {
-    let per_trace = pressures.len();
-    let total = traces.len() * per_trace;
-    let runs = crate::parallel::run_indexed(total * 2, jobs, |i| {
-        let cell = i / 2;
-        let trace = &traces[cell / per_trace];
-        let pressure = pressures[cell % per_trace];
-        let mut cfg = SimConfig { pressure, ..*base };
-        cfg.controller = if i % 2 == 0 {
-            ControllerParams {
-                enabled: false,
-                ..controller
-            }
-        } else {
-            ControllerParams {
-                enabled: true,
-                ..controller
-            }
-        };
-        simulate(trace, Arch::AsComa, &cfg)
-    });
-    let mut runs = runs.into_iter();
-    let mut cells = Vec::with_capacity(total);
-    for trace in traces {
-        for &pressure in pressures {
-            let (Some(static_run), Some(auto_run)) = (runs.next(), runs.next()) else {
-                break;
-            };
-            cells.push(AblationCell {
-                app: trace.name.clone(),
-                pressure,
-                static_run,
-                auto_run,
-            });
-        }
-    }
-    cells
 }
 
 /// Where a streamed sweep sends its progress, and how often.
@@ -437,33 +363,6 @@ mod tests {
         assert!(row.total_remote > 0);
         assert!(row.relocated <= row.total_remote);
         assert!((0.0..=1.0).contains(&row.fraction));
-    }
-
-    #[test]
-    fn ablation_pairs_static_and_auto_runs() {
-        let base = SimConfig::default();
-        let traces = vec![App::Em3d.build(SizeClass::Tiny, base.geometry.page_bytes())];
-        let ctl = ControllerParams {
-            window: 50_000,
-            ..ControllerParams::enabled()
-        };
-        let cells = run_ablation(&traces, &[0.5, 0.9], &base, ctl, 2);
-        assert_eq!(cells.len(), 2);
-        for c in &cells {
-            assert_eq!(c.app, "em3d");
-            assert!(c.static_run.controller.is_none(), "static leg is untuned");
-            assert!(
-                c.auto_run.controller.is_some(),
-                "auto leg carries a summary"
-            );
-        }
-        // Byte-identical across job counts: the work list is flat and
-        // reassembly is positional.
-        let serial = run_ablation(&traces, &[0.5, 0.9], &base, ctl, 1);
-        for (a, b) in cells.iter().zip(&serial) {
-            assert_eq!(a.static_run, b.static_run);
-            assert_eq!(a.auto_run, b.auto_run);
-        }
     }
 
     #[test]

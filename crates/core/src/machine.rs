@@ -26,8 +26,8 @@ use ascoma_mem::cache::{DirectMappedCache, Lookup};
 use ascoma_mem::timing::LocalMemory;
 use ascoma_net::{Network, Topology};
 use ascoma_obs::{
-    summarize, BackoffKind, Controller, Event, EvictCause, MapMode, MetricsRegistry, MissLoc,
-    NoopSink, Sink, Snapshot, StreamSink, ThresholdStep, TimedEvent, VecSink, WindowSample,
+    summarize, BackoffKind, Event, EvictCause, MapMode, MetricsRegistry, MissLoc, NoopSink, Sink,
+    Snapshot, StreamSink, ThresholdStep, TimedEvent, VecSink,
 };
 use ascoma_proto::{Directory, FetchClass, ProtoStats};
 use ascoma_sim::addr::{VAddr, VPage};
@@ -108,14 +108,6 @@ struct NodeCtx<'t> {
     /// is the initial threshold at cycle 0).  Tracked unconditionally:
     /// threshold moves are daemon-rate events, so the cost is nil.
     trajectory: Vec<ThresholdStep>,
-    /// The daemon base period back-off recovery hastens toward.  Equals
-    /// `kernel.daemon_period` unless the controller retargets it, so with
-    /// the controller off the daemon behaves byte-identically to before
-    /// this field existed.
-    period_base: Cycles,
-    /// Cumulative cycles spent in daemon reclaim epochs (controller
-    /// signal; daemon-rate, so tracking unconditionally costs nil).
-    reclaim_cycles_total: Cycles,
     done: bool,
     finish: Cycles,
     at_barrier: bool,
@@ -142,16 +134,6 @@ struct LockState {
     held_by: Option<usize>,
     /// FIFO of blocked nodes with their arrival times.
     waiters: std::collections::VecDeque<(usize, Cycles)>,
-}
-
-/// Per-node cumulative-counter checkpoints at the last control window,
-/// so each window's [`WindowSample`] is a cheap delta of totals the
-/// machine tracks anyway.
-#[derive(Debug, Clone, Copy, Default)]
-struct CtlPrev {
-    refetch: u64,
-    reclaims: u64,
-    reclaim_cycles: Cycles,
 }
 
 /// The machine simulator.
@@ -181,17 +163,6 @@ pub struct Machine<'t, S: Sink = NoopSink> {
     sink: S,
     /// Next global time the periodic sampler fires (u64::MAX = off).
     next_sample: Cycles,
-    /// The auto-tuner, when `cfg.controller.enabled`.  NOT sink-gated:
-    /// it changes behavior, so it runs identically under every sink;
-    /// only its event emissions are `S::ENABLED`-gated.
-    ctl: Option<Controller>,
-    /// Per-node counter checkpoints for window-delta samples (empty when
-    /// the controller is off).
-    ctl_prev: Vec<CtlPrev>,
-    /// Decision windows elapsed.
-    ctl_window: u64,
-    /// Next global time the controller fires (u64::MAX = off).
-    next_control: Cycles,
     /// Nodes currently crashed (fault-injection exploration).  Checker
     /// builds only: release builds carry no fault state and the field —
     /// along with the crash/rejoin hooks — compiles away entirely.
@@ -255,8 +226,6 @@ impl<'t, S: Sink> Machine<'t, S> {
                     remote_touched: vec![false; trace.shared_pages as usize],
                     upgraded: vec![false; trace.shared_pages as usize],
                     trajectory,
-                    period_base: cfg.kernel.daemon_period,
-                    reclaim_cycles_total: 0,
                     done: false,
                     finish: 0,
                     at_barrier: false,
@@ -268,20 +237,6 @@ impl<'t, S: Sink> Machine<'t, S> {
             cfg.obs_sample_period
         } else {
             Cycles::MAX
-        };
-        let (ctl, ctl_prev, next_control) = if cfg.controller.enabled {
-            (
-                Some(Controller::new(
-                    cfg.controller,
-                    trace.nodes,
-                    cfg.policy.threshold_increment,
-                    cfg.kernel.daemon_period,
-                )),
-                vec![CtlPrev::default(); trace.nodes],
-                cfg.controller.window,
-            )
-        } else {
-            (None, Vec::new(), Cycles::MAX)
         };
         Self {
             cfg: *cfg,
@@ -301,10 +256,6 @@ impl<'t, S: Sink> Machine<'t, S> {
             private_base: trace.shared_pages * geo.page_bytes(),
             sink,
             next_sample,
-            ctl,
-            ctl_prev,
-            ctl_window: 0,
-            next_control,
             #[cfg(feature = "check")]
             down: NodeSet::empty(),
         }
@@ -329,15 +280,6 @@ impl<'t, S: Sink> Machine<'t, S> {
                     self.emit_samples();
                     while self.next_sample <= t {
                         self.next_sample += self.cfg.obs_sample_period;
-                    }
-                }
-                if t >= self.next_control {
-                    // Deliberately unconditional (no `S::ENABLED`): the
-                    // controller changes behavior, so it must fire
-                    // identically under every sink.
-                    self.control_step();
-                    while self.next_control <= t {
-                        self.next_control += self.cfg.controller.window;
                     }
                 }
                 if !self.step(n) {
@@ -417,83 +359,6 @@ impl<'t, S: Sink> Machine<'t, S> {
             self.sink.emit(clock, net);
             self.sink.emit(clock, mem);
         }
-    }
-
-    /// One controller decision window: fold each node's signal deltas
-    /// into its phase detector and apply any resulting knob tunes.
-    /// Like the sampler, this runs between scheduler steps and only
-    /// reads timing state; unlike the sampler it *writes policy state*
-    /// (increment, daemon period), which is exactly its job — those
-    /// writes are deterministic functions of the deterministic event
-    /// history, so results stay byte-identical across job counts.
-    fn control_step(&mut self) {
-        let Some(mut ctl) = self.ctl.take() else {
-            return;
-        };
-        self.ctl_window += 1;
-        let window = self.ctl_window;
-        for n in 0..self.nodes.len() {
-            let node = NodeId(n as u16);
-            let ctx = &self.nodes[n];
-            let prev = self.ctl_prev[n];
-            let sample = WindowSample {
-                refetch: ctx.miss.conf_capc - prev.refetch,
-                reclaims: ctx.kstats.daemon_runs - prev.reclaims,
-                reclaim_cycles: ctx.reclaim_cycles_total - prev.reclaim_cycles,
-                free: ctx.pool.free_count() as u64,
-                low: ctx.pool.low_watermark() as u64,
-                backlog: self.net.port_backlog(node, ctx.clock),
-            };
-            let clock = ctx.clock;
-            self.ctl_prev[n] = CtlPrev {
-                refetch: ctx.miss.conf_capc,
-                reclaims: ctx.kstats.daemon_runs,
-                reclaim_cycles: ctx.reclaim_cycles_total,
-            };
-            let d = ctl.on_window(n, window, &sample);
-            if let Some(pc) = d.phase_change {
-                if S::ENABLED {
-                    self.sink.emit(
-                        clock,
-                        Event::PhaseChange {
-                            node,
-                            window,
-                            from: pc.from,
-                            to: pc.to,
-                            cause: pc.cause,
-                            dwell: pc.dwell,
-                        },
-                    );
-                }
-            }
-            if let Some(tune) = d.tune {
-                let ctx = &mut self.nodes[n];
-                ctx.pol.set_threshold_increment(tune.inc_to);
-                ctx.period_base = tune.period_to;
-                // Keep the live period inside the retargeted back-off
-                // range [base, base*64] (the same clamp `adjust_period`
-                // maintains).
-                ctx.daemon.period = ctx
-                    .daemon
-                    .period
-                    .clamp(tune.period_to, tune.period_to.saturating_mul(64));
-                if S::ENABLED {
-                    self.sink.emit(
-                        clock,
-                        Event::TuneApplied {
-                            node,
-                            window,
-                            inc_from: tune.inc_from,
-                            inc_to: tune.inc_to,
-                            period_from: tune.period_from,
-                            period_to: tune.period_to,
-                            cause: tune.cause,
-                        },
-                    );
-                }
-            }
-        }
-        self.ctl = Some(ctl);
     }
 
     /// Emit `event` stamped with node `n`'s clock.  Call sites wrap this
@@ -590,7 +455,7 @@ impl<'t, S: Sink> Machine<'t, S> {
         for p in 0..shared_pages {
             ctx.tlb.invalidate(VPage(p));
         }
-        ctx.daemon = PageoutDaemon::new(ctx.period_base);
+        ctx.daemon = PageoutDaemon::new(self.cfg.kernel.daemon_period);
         self.down.remove(node);
         self.debug_check_frames(n);
     }
@@ -1534,11 +1399,10 @@ impl<'t, S: Sink> Machine<'t, S> {
             self.nodes[n].pool.release(frame);
             self.nodes[n].kstats.pages_reclaimed += 1;
         }
-        // Everything the epoch charged since `now`: the scan cost plus
-        // each victim's flush/remap.
-        let cycles = self.nodes[n].clock - now;
-        self.nodes[n].reclaim_cycles_total += cycles;
         if S::ENABLED {
+            // Everything the epoch charged since `now`: the scan cost plus
+            // each victim's flush/remap.
+            let cycles = self.nodes[n].clock - now;
             self.emit(
                 n,
                 Event::ReclaimLatency {
@@ -1558,9 +1422,7 @@ impl<'t, S: Sink> Machine<'t, S> {
         self.nodes[n].daemon.period = adjust_period(
             self.nodes[n].daemon.period,
             adj,
-            // The controller may retarget this base; without it,
-            // `period_base` always equals `kernel.daemon_period`.
-            self.nodes[n].period_base,
+            self.cfg.kernel.daemon_period,
         );
     }
 
@@ -1729,7 +1591,6 @@ impl<'t, S: Sink> Machine<'t, S> {
             net_queued_cycles: self.net.port_queued_cycles(),
             obs: None,
             metrics: None,
-            controller: self.ctl.as_ref().map(Controller::summary),
         };
         (result, self.sink)
     }
@@ -2025,63 +1886,6 @@ mod tests {
         let with = simulate(&t, Arch::CcNuma, &SimConfig::at_pressure(0.5));
         assert!(with.miss.rac > 0, "default config must exercise the RAC");
         assert!(with.cycles <= r.cycles, "RAC must not slow things down");
-    }
-
-    #[test]
-    fn controller_off_runs_carry_no_summary() {
-        let t = tiny_em3d();
-        let r = simulate(&t, Arch::AsComa, &SimConfig::at_pressure(0.5));
-        assert!(r.controller.is_none());
-    }
-
-    #[test]
-    fn controller_on_is_deterministic_and_summarized() {
-        let t = tiny_em3d();
-        let mut cfg = SimConfig::at_pressure(0.9);
-        cfg.controller = ascoma_obs::ControllerParams::enabled();
-        cfg.controller.window = 50_000;
-        let a = simulate(&t, Arch::AsComa, &cfg);
-        let b = simulate(&t, Arch::AsComa, &cfg);
-        assert_eq!(a, b, "controller runs must be deterministic");
-        let s = a.controller.expect("enabled controller must summarize");
-        assert_eq!(s.per_node.len(), t.nodes);
-        assert!(
-            s.per_node.iter().all(|n| n.dwell.iter().sum::<u64>() > 0),
-            "every node must dwell in some phase"
-        );
-        assert!(
-            s.per_node
-                .iter()
-                .all(|n| !n.knob_trajectory.is_empty() && n.knob_trajectory[0].window == 0),
-            "trajectories start with the seed step"
-        );
-    }
-
-    #[test]
-    fn controller_runs_identically_under_any_sink() {
-        // The controller is config-gated, not sink-gated: a NoopSink run
-        // and a VecSink run of the same controller config must produce
-        // identical results (only the *events* differ).
-        let t = tiny_em3d();
-        let mut cfg = SimConfig::at_pressure(0.9);
-        cfg.controller = ascoma_obs::ControllerParams::enabled();
-        cfg.controller.window = 50_000;
-        let plain = simulate(&t, Arch::AsComa, &cfg);
-        let (traced, events) = simulate_traced(&t, Arch::AsComa, &cfg);
-        assert_eq!(plain.cycles, traced.cycles);
-        assert_eq!(plain.exec, traced.exec);
-        assert_eq!(plain.controller, traced.controller);
-        // And every applied tune appears in the traced stream.
-        let tunes: u64 = plain
-            .controller
-            .as_ref()
-            .map(|s| s.per_node.iter().map(|n| n.tunes).sum())
-            .unwrap_or(0);
-        let emitted = events
-            .iter()
-            .filter(|e| matches!(e.event, Event::TuneApplied { .. }))
-            .count() as u64;
-        assert_eq!(tunes, emitted, "each tune must be emitted exactly once");
     }
 
     #[test]

@@ -89,18 +89,6 @@ impl PolicyState {
         self.backoff.stats()
     }
 
-    /// Current per-raise threshold increment.
-    pub fn threshold_increment(&self) -> u32 {
-        self.backoff.params().increment
-    }
-
-    /// Retarget the per-raise threshold increment (the controller's
-    /// aggressiveness knob).  Affects only future raises/drops; the
-    /// current threshold and latches are untouched.
-    pub fn set_threshold_increment(&mut self, increment: u32) {
-        self.backoff.set_increment(increment);
-    }
-
     /// How to map a faulting remote page, given whether a free frame is
     /// currently available.
     pub fn initial_map(&self, free_frame_available: bool) -> MapChoice {
@@ -314,18 +302,6 @@ mod tests {
             },
         );
         assert_eq!(p.initial_map(true), MapChoice::Numa);
-    }
-
-    #[test]
-    fn tuned_increment_changes_only_future_raises() {
-        let mut p = PolicyState::new(Arch::AsComa, params());
-        p.on_daemon_result(false);
-        assert_eq!(p.threshold(), 96);
-        p.set_threshold_increment(8);
-        assert_eq!(p.threshold_increment(), 8);
-        assert_eq!(p.threshold(), 96, "current threshold untouched");
-        p.on_daemon_result(false);
-        assert_eq!(p.threshold(), 104);
     }
 
     #[test]

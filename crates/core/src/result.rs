@@ -1,7 +1,7 @@
 //! Results of one simulation run: the data behind every chart and table.
 
 use crate::config::Arch;
-use ascoma_obs::{ControllerSummary, MetricsDigest, Summary, ThresholdStep};
+use ascoma_obs::{MetricsDigest, Summary, ThresholdStep};
 use ascoma_proto::ProtoStats;
 use ascoma_sim::stats::{ExecBreakdown, KernelStats, MissBreakdown, MissLatency};
 use ascoma_sim::Cycles;
@@ -40,10 +40,9 @@ pub struct RunResult {
     /// Distinct `(page, node)` pairs actually upgraded to S-COMA
     /// (Table 6, col 2, under the run's relocation policy).
     pub relocated_page_node_pairs: u64,
-    /// Final refetch thresholds per node (back-off visibility).
-    ///
-    /// Kept for compatibility; [`RunResult::threshold_trajectories`]
-    /// records the full back-off/recovery path each value is the end of.
+    /// Final refetch thresholds per node: the last point of each of
+    /// [`RunResult::threshold_trajectories`].  The benchmark's invariant
+    /// check (`perfbench/`) reads this field.
     pub final_thresholds: Vec<u32>,
     /// Per-node refetch-threshold trajectory: every value the threshold
     /// took, time-stamped, starting with the initial threshold at cycle 0.
@@ -62,10 +61,6 @@ pub struct RunResult {
     /// Integer-only and deterministic, so it compares exactly across job
     /// counts and is what `bench diff` consumes.
     pub metrics: Option<MetricsDigest>,
-    /// Auto-tuner summary (decision counts, per-node phase dwell, knob
-    /// trajectories): present iff `SimConfig::controller.enabled`.
-    /// Integer-only and deterministic across job counts.
-    pub controller: Option<ControllerSummary>,
 }
 
 impl RunResult {
@@ -122,7 +117,6 @@ mod tests {
             net_queued_cycles: 0,
             obs: None,
             metrics: None,
-            controller: None,
         }
     }
 

@@ -16,7 +16,6 @@
 //! line format consumed by [`crate::sink::JsonlSink`] and
 //! [`crate::export::jsonl`].
 
-use crate::control::{Cause, Phase};
 use ascoma_sim::addr::VPage;
 use ascoma_sim::{Cycles, NodeId};
 
@@ -307,39 +306,6 @@ pub enum Event {
         /// Total cycles the epoch consumed (scan plus evictions).
         cycles: Cycles,
     },
-    /// The auto-tuner's phase detector switched a node's phase (with
-    /// cause attribution: which signal crossed which bound).
-    PhaseChange {
-        /// Node whose detector flipped.
-        node: NodeId,
-        /// Decision-window ordinal of the switch.
-        window: u64,
-        /// Phase left behind.
-        from: Phase,
-        /// Phase entered.
-        to: Phase,
-        /// Signal crossing that drove the switch.
-        cause: Cause,
-        /// Windows spent in `from`.
-        dwell: u64,
-    },
-    /// The auto-tuner adjusted a node's back-off knobs.
-    TuneApplied {
-        /// Node tuned.
-        node: NodeId,
-        /// Decision-window ordinal of the tune.
-        window: u64,
-        /// `threshold_increment` before.
-        inc_from: u32,
-        /// `threshold_increment` after.
-        inc_to: u32,
-        /// Daemon base period before.
-        period_from: Cycles,
-        /// Daemon base period after.
-        period_to: Cycles,
-        /// Why the knobs moved.
-        cause: Cause,
-    },
 }
 
 impl Event {
@@ -362,8 +328,6 @@ impl Event {
             Event::NetDelay { .. } => "net_delay",
             Event::RemapCost { .. } => "remap_cost",
             Event::ReclaimLatency { .. } => "reclaim_latency",
-            Event::PhaseChange { .. } => "phase_change",
-            Event::TuneApplied { .. } => "tune_applied",
         }
     }
 
@@ -385,9 +349,7 @@ impl Event {
             | Event::MissServiced { node, .. }
             | Event::NetDelay { node, .. }
             | Event::RemapCost { node, .. }
-            | Event::ReclaimLatency { node, .. }
-            | Event::PhaseChange { node, .. }
-            | Event::TuneApplied { node, .. } => node,
+            | Event::ReclaimLatency { node, .. } => node,
         }
     }
 
@@ -557,37 +519,6 @@ impl TimedEvent {
             } => {
                 let _ = write!(out, ",\"reclaimed\":{reclaimed},\"cycles\":{cycles}");
             }
-            Event::PhaseChange {
-                window,
-                from,
-                to,
-                cause,
-                dwell,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"window\":{window},\"from\":\"{}\",\"to\":\"{}\",\"cause\":\"{}\",\"dwell\":{dwell}",
-                    from.tag(),
-                    to.tag(),
-                    cause.tag()
-                );
-            }
-            Event::TuneApplied {
-                window,
-                inc_from,
-                inc_to,
-                period_from,
-                period_to,
-                cause,
-                ..
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"window\":{window},\"inc_from\":{inc_from},\"inc_to\":{inc_to},\"period_from\":{period_from},\"period_to\":{period_to},\"cause\":\"{}\"",
-                    cause.tag()
-                );
-            }
         }
         out.push('}');
     }
@@ -697,23 +628,6 @@ mod tests {
                 reclaimed: 3,
                 cycles: 2100,
             },
-            Event::PhaseChange {
-                node: NodeId(0),
-                window: 4,
-                from: Phase::Baseline,
-                to: Phase::Hot,
-                cause: Cause::RefetchHigh,
-                dwell: 4,
-            },
-            Event::TuneApplied {
-                node: NodeId(0),
-                window: 4,
-                inc_from: 32,
-                inc_to: 64,
-                period_from: 50_000,
-                period_to: 100_000,
-                cause: Cause::RefetchHigh,
-            },
         ];
         let mut kinds: Vec<_> = evs.iter().map(|e| e.kind()).collect();
         kinds.sort_unstable();
@@ -801,47 +715,6 @@ mod tests {
         assert!(j.contains("\"loc\":\"remote3\""));
         assert!(j.contains("\"refetch\":true"));
         assert!(j.contains("\"cycles\":312"));
-    }
-
-    #[test]
-    fn controller_events_carry_cause_attribution() {
-        let pc = TimedEvent {
-            cycle: 400_000,
-            event: Event::PhaseChange {
-                node: NodeId(2),
-                window: 4,
-                from: Phase::Baseline,
-                to: Phase::Pressure,
-                cause: Cause::FreeLow,
-                dwell: 4,
-            },
-        };
-        let j = pc.to_json();
-        assert!(j.contains("\"kind\":\"phase_change\""));
-        assert!(j.contains("\"from\":\"baseline\""));
-        assert!(j.contains("\"to\":\"pressure\""));
-        assert!(j.contains("\"cause\":\"free_low\""));
-        assert!(j.contains("\"dwell\":4"));
-        assert!(!pc.event.is_sample() && !pc.event.is_measurement());
-
-        let tn = TimedEvent {
-            cycle: 400_000,
-            event: Event::TuneApplied {
-                node: NodeId(2),
-                window: 4,
-                inc_from: 32,
-                inc_to: 64,
-                period_from: 50_000,
-                period_to: 25_000,
-                cause: Cause::FreeLow,
-            },
-        };
-        let j = tn.to_json();
-        assert!(j.contains("\"kind\":\"tune_applied\""));
-        assert!(j.contains("\"inc_from\":32"));
-        assert!(j.contains("\"inc_to\":64"));
-        assert!(j.contains("\"period_to\":25000"));
-        assert!(!tn.event.is_sample() && !tn.event.is_measurement());
     }
 
     #[test]

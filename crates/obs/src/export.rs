@@ -228,40 +228,6 @@ pub fn chrome_trace(events: &[TimedEvent], nodes: usize) -> String {
                 let args = format!("\"reclaimed\":{reclaimed},\"cycles\":{cycles}");
                 push_instant(&mut out, "reclaim_latency", ts, tid, &args);
             }
-            Event::PhaseChange {
-                window,
-                from,
-                to,
-                cause,
-                dwell,
-                ..
-            } => {
-                let args = format!(
-                    "\"window\":{window},\"from\":\"{}\",\"to\":\"{}\",\"cause\":\"{}\",\"dwell\":{dwell}",
-                    from.tag(),
-                    to.tag(),
-                    cause.tag()
-                );
-                push_instant(&mut out, "phase_change", ts, tid, &args);
-            }
-            Event::TuneApplied {
-                node,
-                window,
-                inc_from,
-                inc_to,
-                period_from,
-                period_to,
-                cause,
-            } => {
-                // Counter track so knob trajectories render as steps in
-                // Perfetto, plus the full attribution in args.
-                let name = format!("knobs/node{}", node.0);
-                let series = format!(
-                    "\"inc\":{inc_to},\"period\":{period_to},\"window\":{window},\"inc_from\":{inc_from},\"period_from\":{period_from},\"cause_{}\":1",
-                    cause.tag()
-                );
-                push_counter(&mut out, &name, ts, tid, &series);
-            }
         }
     }
 

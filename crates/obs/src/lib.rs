@@ -24,19 +24,13 @@
 //!   tallies, with an integer-only [`MetricsDigest`] compared by
 //!   `bench diff`;
 //! * a dependency-free JSON reader ([`json`], [`import`]) so archived
-//!   JSONL traces round-trip back into typed events;
-//! * the closed control loop ([`control`]): a deterministic, integer-only
-//!   phase detector folding the windowed signals back into per-node
-//!   `Tune` actions on the back-off knobs, with every decision emitted
-//!   as an event, summarized in the `RunResult`, and replayable from an
-//!   exported trace.
+//!   JSONL traces round-trip back into typed events.
 //!
 //! Event cycles come from the emitting node's clock, and the simulator is
 //! deterministic, so two identical runs produce byte-identical streams.
 
 #![warn(missing_docs)]
 
-pub mod control;
 pub mod event;
 pub mod export;
 pub mod import;
@@ -46,10 +40,6 @@ pub mod sink;
 pub mod snapshot;
 pub mod summary;
 
-pub use control::{
-    replay_tunes, Cause, Controller, ControllerParams, ControllerSummary, Decision, KnobStep,
-    NodeControllerSummary, Phase, PhaseChangeInfo, PhaseStep, TuneInfo, WindowSample,
-};
 pub use event::{BackoffKind, Event, EvictCause, MapMode, MissLoc, TimedEvent};
 pub use import::{parse_event_line, parse_jsonl};
 pub use metrics::{HistStat, MetricsDigest, MetricsRegistry, MetricsSink};

@@ -56,13 +56,6 @@ pub struct NodeMetrics {
     pub last_threshold: u64,
     /// Most recent sampled network backlog.
     pub last_backlog: u64,
-    /// Most recent controller phase (as [`crate::control::Phase::index`];
-    /// 0 = baseline, also the value when the controller is off).
-    pub last_phase: u64,
-    /// Most recent tuned `threshold_increment` (0 until a tune lands).
-    pub last_inc: u64,
-    /// Most recent tuned daemon base period (0 until a tune lands).
-    pub last_period: u64,
 }
 
 fn series_set_last(series: &mut Vec<WindowPoint>, window: u64, value: u64) {
@@ -96,11 +89,6 @@ pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
     /// Capacity-refetch tallies per `(node, page)` — the hot-page set.
     hot_pages: BTreeMap<(u16, u64), u64>,
-    /// Controller phase dwell (windows spent in a phase before leaving
-    /// it), machine-wide, fed by `PhaseChange` events.
-    ctl_dwell: Histogram,
-    /// Controller decisions by cause tag (phase changes and tunes).
-    ctl_causes: BTreeMap<&'static str, u64>,
 }
 
 impl MetricsRegistry {
@@ -112,8 +100,6 @@ impl MetricsRegistry {
             nodes: vec![NodeMetrics::default(); nodes],
             counters: BTreeMap::new(),
             hot_pages: BTreeMap::new(),
-            ctl_dwell: Histogram::new(),
-            ctl_causes: BTreeMap::new(),
         }
     }
 
@@ -212,29 +198,6 @@ impl MetricsRegistry {
             Event::NetSample { node, backlog, .. } => {
                 self.node_mut(node.0).last_backlog = backlog;
             }
-            Event::PhaseChange {
-                node,
-                to,
-                cause,
-                dwell,
-                ..
-            } => {
-                self.ctl_dwell.record(dwell);
-                *self.ctl_causes.entry(cause.tag()).or_insert(0) += 1;
-                self.node_mut(node.0).last_phase = to.index() as u64;
-            }
-            Event::TuneApplied {
-                node,
-                inc_to,
-                period_to,
-                cause,
-                ..
-            } => {
-                *self.ctl_causes.entry(cause.tag()).or_insert(0) += 1;
-                let nm = self.node_mut(node.0);
-                nm.last_inc = inc_to as u64;
-                nm.last_period = period_to;
-            }
             _ => {}
         }
     }
@@ -280,26 +243,14 @@ impl MetricsRegistry {
                 stat: h.digest(),
             });
         }
-        // The controller section: the dwell histogram is always present
-        // (zero when the controller never ran, keeping digest shape
-        // stable on/off); per-cause decision counters appear only for
-        // causes that fired, like the kind counters above, prefixed so
-        // they group as one block after them.
-        hists.push(HistStat {
-            name: "controller_dwell".to_string(),
-            stat: self.ctl_dwell.digest(),
-        });
-        let mut counters: Vec<(String, u64)> = self
-            .counters
-            .iter()
-            .map(|(&k, &v)| (k.to_string(), v))
-            .collect();
-        counters.extend(
-            self.ctl_causes
+        MetricsDigest {
+            hists,
+            counters: self
+                .counters
                 .iter()
-                .map(|(&k, &v)| (format!("controller_cause/{k}"), v)),
-        );
-        MetricsDigest { hists, counters }
+                .map(|(&k, &v)| (k.to_string(), v))
+                .collect(),
+        }
     }
 }
 
@@ -646,52 +597,6 @@ mod tests {
         assert_eq!(n0.last_threshold, 96);
         assert_eq!(n0.last_backlog, 9);
         assert_eq!(flat.total_events(), evs.len() as u64);
-    }
-
-    #[test]
-    fn controller_events_fold_into_the_digest_section() {
-        use crate::control::{Cause, Phase};
-        let mut evs = stream();
-        evs.push(TimedEvent {
-            cycle: 400_000,
-            event: Event::PhaseChange {
-                node: NodeId(1),
-                window: 4,
-                from: Phase::Baseline,
-                to: Phase::Hot,
-                cause: Cause::RefetchHigh,
-                dwell: 4,
-            },
-        });
-        evs.push(TimedEvent {
-            cycle: 400_000,
-            event: Event::TuneApplied {
-                node: NodeId(1),
-                window: 4,
-                inc_from: 32,
-                inc_to: 64,
-                period_from: 50_000,
-                period_to: 100_000,
-                cause: Cause::RefetchHigh,
-            },
-        });
-        let reg = MetricsRegistry::from_events(&evs, 2, DEFAULT_WINDOW);
-        let n1 = &reg.nodes()[1];
-        assert_eq!(n1.last_phase, Phase::Hot.index() as u64);
-        assert_eq!((n1.last_inc, n1.last_period), (64, 100_000));
-        let d = reg.digest();
-        let dwell = d.hist("controller_dwell").unwrap();
-        assert_eq!((dwell.count, dwell.max), (1, 4));
-        let cause = d
-            .counters
-            .iter()
-            .find(|(k, _)| k == "controller_cause/refetch_high")
-            .unwrap();
-        assert_eq!(cause.1, 2, "phase change + tune share the cause");
-        // Controller-off digests keep the (zero) dwell hist so shape is
-        // stable.
-        let off = MetricsRegistry::from_events(&stream(), 2, DEFAULT_WINDOW).digest();
-        assert_eq!(off.hist("controller_dwell").unwrap().count, 0);
     }
 
     #[test]

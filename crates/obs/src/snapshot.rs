@@ -50,13 +50,6 @@ pub struct NodeSnap {
     pub refetch: u64,
     /// Last sampled network backlog.
     pub backlog: u64,
-    /// Controller phase ([`crate::control::Phase::index`]; 0 = baseline,
-    /// also the value when the controller is off).
-    pub phase: u64,
-    /// Live tuned `threshold_increment` (0 until a tune lands).
-    pub inc: u64,
-    /// Live tuned daemon base period (0 until a tune lands).
-    pub period: u64,
 }
 
 /// One live-telemetry frame: the registry state as of `cycle`.
@@ -96,9 +89,6 @@ impl Snapshot {
                 threshold: nm.last_threshold,
                 refetch: nm.refetch_rate.last().map_or(0, |p| p.value),
                 backlog: nm.last_backlog,
-                phase: nm.last_phase,
-                inc: nm.last_inc,
-                period: nm.last_period,
             })
             .collect();
         let mut miss = [HistDigest::default(); MISS_LOCS];
@@ -311,9 +301,8 @@ impl StreamEvent {
                     }
                     let _ = write!(
                         out,
-                        "{{\"node\":{},\"free\":{},\"low\":{},\"threshold\":{},\"refetch\":{},\"backlog\":{},\"phase\":{},\"inc\":{},\"period\":{}}}",
-                        n.node, n.free, n.low, n.threshold, n.refetch, n.backlog,
-                        n.phase, n.inc, n.period
+                        "{{\"node\":{},\"free\":{},\"low\":{},\"threshold\":{},\"refetch\":{},\"backlog\":{}}}",
+                        n.node, n.free, n.low, n.threshold, n.refetch, n.backlog
                     );
                 }
                 out.push_str("],\"miss\":[");
@@ -355,10 +344,6 @@ fn u64_field(obj: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer field \"{key}\""))
 }
 
-fn u64_field_or(obj: &Json, key: &str, default: u64) -> u64 {
-    obj.get(key).and_then(Json::as_u64).unwrap_or(default)
-}
-
 fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, String> {
     obj.get(key)
         .and_then(Json::as_str)
@@ -382,11 +367,6 @@ fn parse_snap(obj: &Json) -> Result<Snapshot, String> {
             threshold: u64_field(n, "threshold")?,
             refetch: u64_field(n, "refetch")?,
             backlog: u64_field(n, "backlog")?,
-            // Controller fields default to 0 so pre-controller NDJSON
-            // archives still parse.
-            phase: u64_field_or(n, "phase", 0),
-            inc: u64_field_or(n, "inc", 0),
-            period: u64_field_or(n, "period", 0),
         });
     }
     let mut miss = [HistDigest::default(); MISS_LOCS];
@@ -491,43 +471,15 @@ mod tests {
             cycle: 80,
             event: miss(1, 500, false),
         });
-        reg.fold(&TimedEvent {
-            cycle: 90,
-            event: Event::PhaseChange {
-                node: NodeId(1),
-                window: 1,
-                from: crate::control::Phase::Baseline,
-                to: crate::control::Phase::Hot,
-                cause: crate::control::Cause::RefetchHigh,
-                dwell: 1,
-            },
-        });
-        reg.fold(&TimedEvent {
-            cycle: 90,
-            event: Event::TuneApplied {
-                node: NodeId(1),
-                window: 1,
-                inc_from: 32,
-                inc_to: 64,
-                period_from: 2_000,
-                period_to: 4_000,
-                cause: crate::control::Cause::RefetchHigh,
-            },
-        });
         let s = Snapshot::capture(&reg, 100, 1);
         assert_eq!(s.cycle, 100);
         assert_eq!(s.seq, 1);
-        assert_eq!(s.events, 6);
+        assert_eq!(s.events, 4);
         assert_eq!(s.nodes.len(), 2);
         assert_eq!(s.nodes[0].free, 12);
         assert_eq!(s.nodes[0].low, 3);
         assert_eq!(s.nodes[0].refetch, 1);
         assert_eq!(s.nodes[1].threshold, 96);
-        assert_eq!(s.nodes[0].phase, 0, "no controller activity on node 0");
-        assert_eq!(s.nodes[0].inc, 0);
-        assert_eq!(s.nodes[1].phase, crate::control::Phase::Hot.index() as u64);
-        assert_eq!(s.nodes[1].inc, 64);
-        assert_eq!(s.nodes[1].period, 4_000);
         let li = MissLoc::ALL
             .iter()
             .position(|l| *l == MissLoc::Remote2)
@@ -607,20 +559,7 @@ mod tests {
             cycle: 60,
             event: miss(1, 312, true),
         });
-        reg.fold(&TimedEvent {
-            cycle: 70,
-            event: Event::TuneApplied {
-                node: NodeId(0),
-                window: 2,
-                inc_from: 32,
-                inc_to: 16,
-                period_from: 2_000,
-                period_to: 1_000,
-                cause: crate::control::Cause::RefetchLow,
-            },
-        });
         let mut snap = Snapshot::capture(&reg, 100_000, 4);
-        assert_eq!(snap.nodes[0].inc, 16, "controller knobs reach the wire");
         snap.cells_done = 3;
         snap.cells_total = 18;
         let events = vec![
@@ -653,22 +592,48 @@ mod tests {
     }
 
     #[test]
-    fn pre_controller_snap_lines_still_parse() {
-        // Archives written before the controller fields existed omit
-        // phase/inc/period; they must parse with zero defaults.
-        let line = "{\"ev\":\"snap\",\"cell\":0,\"seq\":1,\"t\":10,\"events\":0,\
-                    \"done\":0,\"total\":1,\
-                    \"nodes\":[{\"node\":0,\"free\":5,\"low\":1,\"threshold\":64,\
-                    \"refetch\":2,\"backlog\":0}],\"miss\":[]}";
-        match parse_stream_line(line) {
-            Ok(StreamEvent::Snap { snap, .. }) => {
-                assert_eq!(snap.nodes[0].free, 5);
-                assert_eq!(snap.nodes[0].phase, 0);
-                assert_eq!(snap.nodes[0].inc, 0);
-                assert_eq!(snap.nodes[0].period, 0);
-            }
-            other => panic!("expected snap, got {other:?}"),
-        }
+    fn snap_lines_with_tuner_keys_still_parse() {
+        // A line as written while the back-off auto-tuner existed: each
+        // node row carries three more keys (phase, inc, period), ignored.
+        let line = "{\"ev\":\"snap\",\"cell\":0,\"seq\":1,\"t\":10,\"events\":3,\"done\":0,\
+                    \"total\":1,\"nodes\":[{\"node\":0,\"free\":5,\"low\":1,\"threshold\":64,\
+                    \"refetch\":2,\"backlog\":7,\"phase\":1,\"inc\":64,\"period\":4000}],\
+                    \"miss\":[{\"loc\":\"home\",\"count\":0,\"sum\":0,\"max\":0,\"p50\":0,\
+                    \"p95\":0,\"p99\":0},{\"loc\":\"scoma\",\"count\":0,\"sum\":0,\"max\":0,\
+                    \"p50\":0,\"p95\":0,\"p99\":0},{\"loc\":\"rac\",\"count\":3,\"sum\":900,\
+                    \"max\":500,\"p50\":300,\"p95\":500,\"p99\":500},{\"loc\":\"remote2\",\
+                    \"count\":0,\"sum\":0,\"max\":0,\"p50\":0,\"p95\":0,\"p99\":0},\
+                    {\"loc\":\"remote3\",\"count\":0,\"sum\":0,\"max\":0,\"p50\":0,\"p95\":0,\
+                    \"p99\":0}]}";
+        let mut miss = [HistDigest::default(); MISS_LOCS];
+        miss[2] = HistDigest {
+            count: 3,
+            sum: 900,
+            max: 500,
+            p50: 300,
+            p95: 500,
+            p99: 500,
+        };
+        let snap = Snapshot {
+            seq: 1,
+            cycle: 10,
+            events: 3,
+            cells_done: 0,
+            cells_total: 1,
+            nodes: vec![NodeSnap {
+                node: 0,
+                free: 5,
+                low: 1,
+                threshold: 64,
+                refetch: 2,
+                backlog: 7,
+            }],
+            miss,
+        };
+        assert_eq!(
+            parse_stream_line(line),
+            Ok(StreamEvent::Snap { cell: 0, snap })
+        );
     }
 
     #[test]

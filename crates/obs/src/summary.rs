@@ -308,11 +308,7 @@ fn fold(events: &[TimedEvent], nodes: usize) -> (Summary, Vec<LifecycleViolation
             | Event::MissServiced { .. }
             | Event::NetDelay { .. }
             | Event::RemapCost { .. }
-            | Event::ReclaimLatency { .. }
-            // Controller decisions are summarized by the ControllerSummary
-            // on the RunResult (and counted in `transitions` above).
-            | Event::PhaseChange { .. }
-            | Event::TuneApplied { .. } => {}
+            | Event::ReclaimLatency { .. } => {}
         }
     }
     (s, violations)

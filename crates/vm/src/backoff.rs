@@ -77,16 +77,6 @@ impl BackoffState {
         (self.raises, self.drops)
     }
 
-    /// Retarget the per-step increment at run time (the auto-tuner's
-    /// knob).  Only the step size changes: the current threshold, the
-    /// latches and the statistics are left untouched, so a tune between
-    /// two daemon runs never rewrites history — it only changes how far
-    /// the *next* raise or drop moves.  A zero increment is clamped to 1
-    /// so the automaton can always make progress.
-    pub fn set_increment(&mut self, increment: u32) {
-        self.params.increment = increment.max(1);
-    }
-
     /// Notify that a daemon run finished.  `reached_target` false =
     /// thrashing detected -> raise the threshold, latch NUMA-first and
     /// slow the daemon.  Success at an elevated threshold = cold pages
@@ -208,21 +198,6 @@ mod tests {
         assert!(b.relocation_disabled());
         b.on_daemon_result(true);
         assert!(!b.relocation_disabled());
-    }
-
-    #[test]
-    fn set_increment_changes_only_future_steps() {
-        let mut b = BackoffState::new(params());
-        b.on_daemon_result(false);
-        assert_eq!(b.threshold(), 96);
-        b.set_increment(8);
-        assert_eq!(b.threshold(), 96, "tune must not rewrite the threshold");
-        b.on_daemon_result(false);
-        assert_eq!(b.threshold(), 104);
-        b.on_daemon_result(true);
-        assert_eq!(b.threshold(), 96);
-        b.set_increment(0);
-        assert_eq!(b.params().increment, 1, "zero increment clamps to 1");
     }
 
     #[test]

@@ -48,10 +48,11 @@ step "panic lint (unwrap/expect in library code)"
 # lines, flag unwrap/expect calls.
 #
 # The scan set is `find crates/*/src`, so it picks up new modules
-# automatically — but the controller stack is load-bearing enough that
-# its files are asserted into coverage here: a rename that silently
-# dropped them from the scan would otherwise go unnoticed.
-for must in crates/obs/src/control.rs crates/bench/src/ablate.rs; do
+# automatically — but the machine and the conformance harness are
+# load-bearing enough that their files are asserted into coverage here:
+# a rename that silently dropped them from the scan would otherwise go
+# unnoticed.
+for must in crates/core/src/machine.rs crates/check/src/conform.rs; do
     if [ ! -f "$must" ]; then
         echo "panic lint: $must missing from the scan set (moved without updating check.sh?)"
         exit 1
@@ -142,10 +143,6 @@ cargo test -q -p ascoma-vm --features churntests
 
 step "invariant hooks active (core tests with --features check)"
 cargo test -q -p ascoma --features check
-
-step "auto-tuner controller matrix (off-inert, on-deterministic, replay; default + check features)"
-cargo test -q -p ascoma --test controller
-cargo test -q -p ascoma --features check --test controller
 
 if [ "$fast" -eq 0 ]; then
     step "model checker CI gate (release): smoke suite + seeded mutations"

@@ -38,12 +38,10 @@ fn digest(arch: Arch) -> u64 {
     fnv1a(format!("{r:?}").as_bytes())
 }
 
-/// Committed digests of the seed behavior.  Reblessed when the
-/// controller field was added to `RunResult` (it prints as
-/// `controller: None` for untraced runs); behavior was verified
-/// byte-identical to the prior goldens with the field stripped.
-const GOLDEN_ASCOMA: u64 = 0xe065_e3af_2739_06ce;
-const GOLDEN_CCNUMA: u64 = 0xf878_8a10_78f7_0a4c;
+/// Committed digests of the seed behavior (the hot-path rewrite's
+/// baseline).
+const GOLDEN_ASCOMA: u64 = 0xf6ca_c5ed_3355_8b02;
+const GOLDEN_CCNUMA: u64 = 0x0326_d2e3_da8a_d208;
 
 fn check(arch: Arch, golden: u64) {
     let got = digest(arch);
